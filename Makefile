@@ -1,4 +1,4 @@
-.PHONY: all build test check lint callgraph fmt bench bench-perf bench-sim bench-scale bench-survivability perf-table perf-splice scale-table scale-splice diagnose clean
+.PHONY: all build test check lint callgraph fmt bench bench-smoke bench-perf bench-sim bench-scale bench-survivability perf-table perf-splice scale-table scale-splice diagnose clean
 
 all: build
 
@@ -32,6 +32,12 @@ fmt:
 
 bench:
 	dune exec bench/main.exe
+
+# The end-to-end benchmark's own test: one round of every perfbench
+# workload with all output checks (~10 s). Fails on a broken workload
+# or a failed oracle check.
+bench-smoke:
+	bash perfbench/run.sh --smoke
 
 # Hot-path microbenchmarks; writes BENCH_PERF.json. Full budgets —
 # CI uses `-- perf --quick` with a loosened regression gate instead.

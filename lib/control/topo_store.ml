@@ -39,6 +39,13 @@ type t = {
      generation move NOT routed through apply_event /
      record_discovered_link is out-of-band and drops everything. *)
   mutable dist_gen : int;
+  (* Switch-level Algorithm-1 results keyed by (s, eps, src_sw, dst_sw),
+     shared by every host pair on that switch pair. Valid for exactly
+     one graph generation, [memo_gen]: unlike the distance tables,
+     nothing survives a generation move. Written only by the
+     coordinator of a batch, never by a worker domain. *)
+  memo : (int option * int option * switch_id * switch_id, Pathgraph.core option) Hashtbl.t;
+  mutable memo_gen : int;
   eager_repair : bool;
   mutable dist_hits : int;
   mutable dist_misses : int;
@@ -68,6 +75,8 @@ let create ?(eager_repair = false) g =
     link_users = Hashtbl.create 64;
     root_links = Hashtbl.create 64;
     dist_gen = -1;
+    memo = Hashtbl.create 64;
+    memo_gen = -1;
     eager_repair;
     dist_hits = 0;
     dist_misses = 0;
@@ -165,11 +174,17 @@ let[@dumbnet.hot] reset_cache t =
    path both come through here, so the two can never drift. A
    generation move that did not pass through the scoped-repair paths
    (which advance [dist_gen] themselves) is an out-of-band graph
-   mutation: scoped repair has no event to scope to, drop everything. *)
+   mutation: scoped repair has no event to scope to, drop everything.
+   The path-graph memo has its own stamp, which no repair advances:
+   every generation move drops it, even where distance tables survive. *)
 let[@dumbnet.hot] sync_generation t =
   if Graph.generation t.g <> t.dist_gen then begin
     if Hashtbl.length t.dist_cache > 0 then t.full_resets <- t.full_resets + 1;
     reset_cache t
+  end;
+  if Graph.generation t.g <> t.memo_gen then begin
+    Hashtbl.reset t.memo;
+    t.memo_gen <- Graph.generation t.g
   end
 
 (* Scoped repair after one switch-to-switch link event — the
@@ -330,6 +345,12 @@ type shard = {
   mutable sh_misses : int;
 }
 
+(* A batch runs in two phases. The coordinator first resolves every
+   item's host ends and collects the switch pairs the memo lacks; their
+   cores are computed (inline or pooled) and written into the memo by
+   the coordinator alone. Then every item is served: a memo hit is
+   instantiated for its hosts, and an item carrying an [rng] bypasses
+   the memo and runs the whole of Algorithm 1 with its own tie-breaks. *)
 let serve_batch ?s ?eps ~rng_for ~pool t pairs =
   assert_not_in_batch t "serve_path_graphs";
   (* Refresh generation-derived state while still single-threaded: the
@@ -343,39 +364,74 @@ let serve_batch ?s ?eps ~rng_for ~pool t pairs =
     Array.init jobs (fun _ ->
         { sh_tbl = Hashtbl.create 32; sh_hits = 0; sh_misses = 0 })
   in
-  let serve_one ~worker (src, dst) =
+  let dist ~worker ~from =
     let shard = shards.(worker) in
-    let dist ~from =
-      match Hashtbl.find_opt t.dist_cache from with
+    match Hashtbl.find_opt t.dist_cache from with
+    | Some d ->
+      shard.sh_hits <- shard.sh_hits + 1;
+      d
+    | None -> (
+      match Hashtbl.find_opt shard.sh_tbl from with
       | Some d ->
         shard.sh_hits <- shard.sh_hits + 1;
         d
-      | None -> (
-        match Hashtbl.find_opt shard.sh_tbl from with
-        | Some d ->
-          shard.sh_hits <- shard.sh_hits + 1;
-          d
-        | None ->
-          shard.sh_misses <- shard.sh_misses + 1;
-          let d = Adjacency.bfs_distances snap ~from in
-          Hashtbl.replace shard.sh_tbl from d;
-          d)
-    in
-    let rng = rng_for ~epoch ~src ~dst in
-    Pathgraph.generate ?s ?eps ?rng ~dist t.g ~src ~dst
+      | None ->
+        shard.sh_misses <- shard.sh_misses + 1;
+        let d = Adjacency.bfs_distances snap ~from in
+        Hashtbl.replace shard.sh_tbl from d;
+        d)
+  in
+  let items =
+    Array.map
+      (fun (src, dst) ->
+        let ends =
+          match (Graph.host_location t.g src, Graph.host_location t.g dst) with
+          | Some src_loc, Some dst_loc -> Some (src_loc, dst_loc)
+          | None, _ | _, None -> None
+        in
+        (src, dst, ends, rng_for ~epoch ~src ~dst))
+      pairs
+  in
+  let missing = Hashtbl.create 16 in
+  Array.iter
+    (fun (_, _, ends, rng) ->
+      match (ends, rng) with
+      | Some (src_loc, dst_loc), None ->
+        let key = (s, eps, src_loc.sw, dst_loc.sw) in
+        if not (Hashtbl.mem t.memo key) then Hashtbl.replace missing key ()
+      | None, _ | Some _, Some _ -> ())
+    items;
+  let missing = Array.of_seq (Hashtbl.to_seq_keys missing) in
+  let run f work =
+    match pool with
+    | Some p when Pool.worthwhile ~jobs:(Pool.jobs p) ~items:(Array.length work) ->
+      Pool.parallel_map p ~f work
+    | Some _ | None ->
+      (* jobs = 1, or a batch too small to amortize handing chunks
+         to parked domains: run inline, byte-identical either way. *)
+      Array.map (f ~worker:0) work
+  in
+  let build_core ~worker (_, _, src_sw, dst_sw) =
+    Pathgraph.core ?s ?eps ~dist:(dist ~worker) t.g ~src_sw ~dst_sw
+  in
+  let serve_one ~worker (src, dst, ends, rng) =
+    match (ends, rng) with
+    | None, _ -> None
+    | Some _, Some _ -> Pathgraph.generate ?s ?eps ?rng ~dist:(dist ~worker) t.g ~src ~dst
+    | Some (src_loc, dst_loc), None -> (
+      match Hashtbl.find_opt t.memo (s, eps, src_loc.sw, dst_loc.sw) with
+      | Some (Some c) -> Pathgraph.instantiate t.g c ~src ~src_loc ~dst ~dst_loc
+      | Some None | None -> None)
   in
   t.in_batch <- true;
   let results =
     Fun.protect
       ~finally:(fun () -> t.in_batch <- false)
       (fun () ->
-        match pool with
-        | Some p when Pool.worthwhile ~jobs:(Pool.jobs p) ~items:(Array.length pairs) ->
-          Pool.parallel_map p ~f:serve_one pairs
-        | Some _ | None ->
-          (* jobs = 1, or a batch too small to amortize handing chunks
-             to parked domains: run inline, byte-identical either way. *)
-          Array.map (serve_one ~worker:0) pairs)
+        let cores = run build_core missing in
+        (* The coordinator's write, with every worker joined. *)
+        Array.iteri (fun i key -> Hashtbl.replace t.memo key cores.(i)) missing;
+        run serve_one items)
   in
   (* Fold the shards back: BFS is deterministic on the frozen snapshot,
      so duplicate keys across shards hold identical tables — first one

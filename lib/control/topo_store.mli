@@ -62,11 +62,15 @@ val serve_path_graph :
 (** Answer a host's path query from the current view. Queries share
     memoized per-switch BFS distance maps, so bursts of queries (the
     bootstrap push, the post-failure re-query storm) cost one BFS per
-    distinct switch instead of one per query. The maps are
-    generation-checked against the graph: any applied event or
-    discovered link invalidates them, so answers are always identical
-    to a fresh {!Pathgraph.generate}. Implemented as a one-item
-    {!serve_path_graphs} batch — there is exactly one code path. *)
+    distinct switch instead of one per query. They also share the
+    switch-level Algorithm-1 result ({!Pathgraph.core}) of every
+    switch pair already asked about at the current graph generation,
+    so only the first query of a switch pair runs Algorithm 1; a query
+    given an [rng] bypasses that memo. Both memos are
+    generation-checked against the graph, so answers are always
+    identical to a fresh {!Pathgraph.generate}. Implemented as a
+    one-item {!serve_path_graphs} batch — there is exactly one code
+    path. *)
 
 val serve_path_graphs :
   ?s:int ->
@@ -89,6 +93,10 @@ val serve_path_graphs :
       lock; shards are folded back into the shared cache after every
       worker has joined (BFS is deterministic, so duplicated entries
       are identical);
+    - the switch-pair memo is written by the calling domain only: the
+      switch pairs it lacks are computed first (sliced over the pool
+      like the queries), stored once every worker has joined, and only
+      read while the queries are served;
     - with [randomize] (default false), tie-breaks draw from a per-item
       generator seeded from [(src, dst, epoch)] — [epoch] being the
       graph generation — never from a stream shared across items.

@@ -39,13 +39,25 @@ type t = {
   agent : Agent.t;
   prober : Prober.t;
   demote : bool;
-  mutable verdicts : verdict list; (* newest first *)
+  recent : verdict Queue.t; (* the last [verdict_window], oldest first *)
+  mutable verdict_count : int;
 }
 
-let create ?(demote = true) ~engine ~agent ~prober () =
-  { engine; agent; prober; demote; verdicts = [] }
+(* A long-lived localizer (one per health monitor, or a trial loop)
+   must not grow with the number of diagnoses it has run. *)
+let verdict_window = 256
 
-let verdicts t = List.rev t.verdicts
+let create ?(demote = true) ~engine ~agent ~prober () =
+  { engine; agent; prober; demote; recent = Queue.create (); verdict_count = 0 }
+
+let verdicts t = List.of_seq (Queue.to_seq t.recent)
+
+let verdict_count t = t.verdict_count
+
+let record t v =
+  Queue.add v t.recent;
+  if Queue.length t.recent > verdict_window then ignore (Queue.take t.recent);
+  t.verdict_count <- t.verdict_count + 1
 
 let faulty_ends = function
   | Silent_drop { near; far }
@@ -107,7 +119,7 @@ let diagnose ?path ?(max_batches = 4) t ~dst ~on_done =
             v_elapsed_ns = Engine.now t.engine - started;
           }
         in
-        t.verdicts <- v :: t.verdicts;
+        record t v;
         on_done v
       in
       let leg_key j = Link_key.make legs.(j).Prober.leg_from legs.(j).Prober.leg_to in

@@ -98,11 +98,17 @@ val diagnose_suspect :
 val attach_health : ?max_batches:int -> t -> Health.t -> unit
 (** Subscribe to the health monitor's structured suspect stream
     ({!Dumbnet_telemetry.Health.set_on_suspect}), launching a
-    diagnosis for each newly flagged link. Verdicts accumulate in
+    diagnosis for each newly flagged link. Verdicts are kept in
     {!verdicts}. *)
 
 val verdicts : t -> verdict list
-(** Every verdict so far, oldest first. *)
+(** The most recent verdicts, oldest first: a fixed window of the last
+    256, so a long-lived localizer does not grow with the number of
+    diagnoses it has run. {!verdict_count} counts every verdict. *)
+
+val verdict_count : t -> int
+(** Verdicts delivered since creation, including those that have left
+    the {!verdicts} window. *)
 
 val pp_class : Format.formatter -> fault_class -> unit
 

@@ -26,7 +26,9 @@ type stats = {
   mutable data_sent : int;
   mutable data_received : int;
   mutable bytes_received : int;
-  mutable latency_samples_ns : int list;
+  mutable latency_last_ns : int;
+  mutable latency_sum_ns : int;
+  mutable latency_max_ns : int;
   mutable queries_sent : int;
   mutable responses_received : int;
   mutable floods_sent : int;
@@ -391,7 +393,10 @@ let deliver_data t ~src payload =
   | Payload.Data { size; sent_ns; _ } ->
     t.stats.data_received <- t.stats.data_received + 1;
     t.stats.bytes_received <- t.stats.bytes_received + size;
-    t.stats.latency_samples_ns <- (now t - sent_ns) :: t.stats.latency_samples_ns
+    let ns = now t - sent_ns in
+    t.stats.latency_last_ns <- ns;
+    t.stats.latency_sum_ns <- t.stats.latency_sum_ns + ns;
+    t.stats.latency_max_ns <- max t.stats.latency_max_ns ns
   | _ -> ());
   match t.data_cb with
   | Some f -> f ~src payload
@@ -514,7 +519,9 @@ let create ?k ?(nic = Nic.Dumbnet_agent) ~network:net ~rng ~self () =
           data_sent = 0;
           data_received = 0;
           bytes_received = 0;
-          latency_samples_ns = [];
+          latency_last_ns = 0;
+          latency_sum_ns = 0;
+          latency_max_ns = 0;
           queries_sent = 0;
           responses_received = 0;
           floods_sent = 0;

@@ -27,7 +27,9 @@ type stats = {
   mutable data_sent : int;
   mutable data_received : int;
   mutable bytes_received : int;
-  mutable latency_samples_ns : int list;  (** one per data packet received *)
+  mutable latency_last_ns : int;  (** one-way latency of the latest data packet *)
+  mutable latency_sum_ns : int;  (** over all [data_received] packets *)
+  mutable latency_max_ns : int;
   mutable queries_sent : int;
   mutable responses_received : int;
   mutable floods_sent : int;

@@ -473,14 +473,24 @@ let rewire_swap t a c =
   | Some b, Some d ->
     (* Cables (a—b) and (c—d) become (a—d) and (c—b): the swapped pair
        a mis-patched panel creates. No monitor fires — the ports never
-       see a transition, only the far-end identity changes. The
-       forwarding target arrays refresh off the wiring generation on
-       the next hop. *)
+       see a transition, only the far-end identity changes. *)
+    let current = t.wiring_gen = Graph.wiring_generation t.g in
     Graph.remove_link t.g a;
     Graph.remove_link t.g c;
     Graph.connect t.g a d;
     Graph.connect t.g c b;
-    refresh_targets t
+    if current then begin
+      (* Only the four touched ports changed cabling: rebuild just
+         their switches' arrays and stay current. *)
+      List.iter
+        (fun sw ->
+          match Hashtbl.find_opt t.switches sw with
+          | Some ss -> ss.targets <- target_array t.g sw
+          | None -> ())
+        (List.sort_uniq compare [ a.sw; b.sw; c.sw; d.sw ]);
+      t.wiring_gen <- Graph.wiring_generation t.g
+    end
+    else refresh_targets t
   | None, _ | _, None ->
     invalid_arg "Network.rewire_swap: both ends must be switch-to-switch cables"
 

@@ -75,108 +75,125 @@ let default_s = 2
 
 let default_eps = 1
 
-let generate ?(s = default_s) ?(eps = default_eps) ?rng ?dist g ~src ~dst =
+let check_params s eps =
   if s <= 0 then invalid_arg "Pathgraph.generate: s must be positive";
-  if eps < 0 then invalid_arg "Pathgraph.generate: eps must be non-negative";
+  if eps < 0 then invalid_arg "Pathgraph.generate: eps must be non-negative"
+
+(* The switch-level half of Algorithm 1: everything but the host ends.
+   Two queries whose hosts hang off the same switch pair share it. *)
+type core = {
+  route : switch_id list;
+  backup_route : switch_id list option; (* only when it differs from [route] *)
+  core_adj : (switch_id, (port * switch_id * port) list ref) Hashtbl.t;
+  core_links : Link_set.t;
+}
+
+let core ?(s = default_s) ?(eps = default_eps) ?rng ?dist g ~src_sw ~dst_sw =
+  check_params s eps;
+  let snap = Graph.adjacency g in
+  let graph_adj = Adjacency.fn snap in
+  (* All BFS runs go through [dist_from]: by default a fresh
+     array-BFS over the snapshot, but a caller (the controller) can
+     supply memoized tables shared across queries — the results are
+     identical because BFS distances are unique. *)
+  let dist_from =
+    match dist with
+    | Some f -> f
+    | None -> fun ~from -> Adjacency.bfs_distances snap ~from
+  in
+  let primary_route =
+    if src_sw = dst_sw then Some [ src_sw ]
+    else
+      Routing.route_via_distances ?rng graph_adj ~src:src_sw ~dst:dst_sw
+        (dist_from ~from:dst_sw)
+  in
+  match primary_route with
+  | None -> None
+  | Some route ->
+    let arr = Array.of_list route in
+    let len = Array.length arr in
+    (* Algorithm 1: slide a window of s hops along the primary path
+       with stride s/2; keep every switch x with
+       dist(a,x) + dist(x,b) <= s + eps. *)
+    let vertices = ref Switch_set.empty in
+    let add_route r = List.iter (fun v -> vertices := Switch_set.add v !vertices) r in
+    add_route route;
+    let stride = max 1 (s / 2) in
+    let i = ref 0 in
+    while !i < len - 1 do
+      let a = arr.(!i) in
+      let b_idx = min (!i + s) (len - 1) in
+      let b = arr.(b_idx) in
+      let window = b_idx - !i in
+      let da = dist_from ~from:a in
+      let db = dist_from ~from:b in
+      Hashtbl.iter
+        (fun x dxa ->
+          match Hashtbl.find_opt db x with
+          | Some dxb when dxa + dxb <= window + eps -> vertices := Switch_set.add x !vertices
+          | Some _ | None -> ())
+        da;
+      i := !i + stride
+    done;
+    (* Backup path: re-run shortest path with primary links made
+       expensive so it avoids them unless unavoidable. *)
+    let primary_links =
+      let rec pairs acc = function
+        | [] | [ _ ] -> acc
+        | a :: (b :: _ as rest) -> pairs ((a, b) :: acc) rest
+      in
+      pairs [] route
+    in
+    let on_primary x y =
+      List.exists (fun (a, b) -> (a = x && b = y) || (a = y && b = x)) primary_links
+    in
+    let weight e1 e2 = if on_primary e1.sw e2.sw then 100. else 1. in
+    let backup_route =
+      match Routing.weighted_route ~weight graph_adj ~src:src_sw ~dst:dst_sw with
+      | Some r when r <> route ->
+        add_route r;
+        Some r
+      | Some _ | None -> None
+    in
+    (* Induced subgraph on the collected vertex set. *)
+    let adj = Hashtbl.create 64 in
+    Switch_set.iter
+      (fun sw ->
+        List.iter
+          (fun (out, peer, peer_in) ->
+            if Switch_set.mem peer !vertices then
+              add_edge adj { sw; port = out } { sw = peer; port = peer_in })
+          (graph_adj sw))
+      !vertices;
+    (* Make sure isolated single-switch subgraphs still appear. *)
+    Switch_set.iter
+      (fun sw -> if not (Hashtbl.mem adj sw) then Hashtbl.replace adj sw (ref []))
+      !vertices;
+    Some { route; backup_route; core_adj = adj; core_links = links_of_adj adj }
+
+let instantiate g c ~src ~src_loc ~dst ~dst_loc =
+  let graph_adj = Adjacency.fn (Graph.adjacency g) in
+  match Path.of_route ~adj:graph_adj ~src ~src_loc ~dst ~dst_loc c.route with
+  | None -> None
+  | Some primary ->
+    let backup =
+      Option.bind c.backup_route (Path.of_route ~adj:graph_adj ~src ~src_loc ~dst ~dst_loc)
+    in
+    (* [Hashtbl.copy] keeps the bucket layout, so the copy iterates in
+       the core's construction order; fresh refs keep [mark_link_down]
+       on one instance from patching every other. *)
+    let adj = Hashtbl.copy c.core_adj in
+    Hashtbl.filter_map_inplace (fun _ l -> Some (ref !l)) adj;
+    Some { src; dst; src_loc; dst_loc; primary; backup; adj; links = c.core_links }
+
+let generate ?(s = default_s) ?(eps = default_eps) ?rng ?dist g ~src ~dst =
+  check_params s eps;
   match (Graph.host_location g src, Graph.host_location g dst) with
   | None, _ | _, None -> None
-  | Some src_loc, Some dst_loc -> (
-    let snap = Graph.adjacency g in
-    let graph_adj = Adjacency.fn snap in
-    (* All BFS runs go through [dist_from]: by default a fresh
-       array-BFS over the snapshot, but a caller (the controller) can
-       supply memoized tables shared across queries — the results are
-       identical because BFS distances are unique. *)
-    let dist_from =
-      match dist with
-      | Some f -> f
-      | None -> fun ~from -> Adjacency.bfs_distances snap ~from
-    in
-    let primary_route =
-      if src_loc.sw = dst_loc.sw then Some [ src_loc.sw ]
-      else
-        Routing.route_via_distances ?rng graph_adj ~src:src_loc.sw ~dst:dst_loc.sw
-          (dist_from ~from:dst_loc.sw)
-    in
-    match primary_route with
-    | None -> None
-    | Some route -> (
-      match Path.of_route ~adj:graph_adj ~src ~src_loc ~dst ~dst_loc route with
-      | None -> None
-      | Some primary_path ->
-        let arr = Array.of_list route in
-        let len = Array.length arr in
-        (* Algorithm 1: slide a window of s hops along the primary path
-           with stride s/2; keep every switch x with
-           dist(a,x) + dist(x,b) <= s + eps. *)
-        let vertices = ref Switch_set.empty in
-        let add_route r = List.iter (fun v -> vertices := Switch_set.add v !vertices) r in
-        add_route route;
-        let stride = max 1 (s / 2) in
-        let i = ref 0 in
-        while !i < len - 1 do
-          let a = arr.(!i) in
-          let b_idx = min (!i + s) (len - 1) in
-          let b = arr.(b_idx) in
-          let window = b_idx - !i in
-          let da = dist_from ~from:a in
-          let db = dist_from ~from:b in
-          Hashtbl.iter
-            (fun x dxa ->
-              match Hashtbl.find_opt db x with
-              | Some dxb when dxa + dxb <= window + eps -> vertices := Switch_set.add x !vertices
-              | Some _ | None -> ())
-            da;
-          i := !i + stride
-        done;
-        (* Backup path: re-run shortest path with primary links made
-           expensive so it avoids them unless unavoidable. *)
-        let primary_links =
-          let rec pairs acc = function
-            | [] | [ _ ] -> acc
-            | a :: (b :: _ as rest) -> pairs ((a, b) :: acc) rest
-          in
-          pairs [] route
-        in
-        let on_primary x y =
-          List.exists (fun (a, b) -> (a = x && b = y) || (a = y && b = x)) primary_links
-        in
-        let weight e1 e2 = if on_primary e1.sw e2.sw then 100. else 1. in
-        let backup_route =
-          Routing.weighted_route ~weight graph_adj ~src:src_loc.sw ~dst:dst_loc.sw
-        in
-        let backup_path =
-          match backup_route with
-          | Some r when r <> route ->
-            add_route r;
-            Path.of_route ~adj:graph_adj ~src ~src_loc ~dst ~dst_loc r
-          | Some _ | None -> None
-        in
-        (* Induced subgraph on the collected vertex set. *)
-        let adj = Hashtbl.create 64 in
-        Switch_set.iter
-          (fun sw ->
-            List.iter
-              (fun (out, peer, peer_in) ->
-                if Switch_set.mem peer !vertices then
-                  add_edge adj { sw; port = out } { sw = peer; port = peer_in })
-              (graph_adj sw))
-          !vertices;
-        (* Make sure isolated single-switch subgraphs still appear. *)
-        Switch_set.iter
-          (fun sw -> if not (Hashtbl.mem adj sw) then Hashtbl.replace adj sw (ref []))
-          !vertices;
-        Some
-          {
-            src;
-            dst;
-            src_loc;
-            dst_loc;
-            primary = primary_path;
-            backup = backup_path;
-            adj;
-            links = links_of_adj adj;
-          }))
+  | Some src_loc, Some dst_loc ->
+    Option.bind
+      (core ~s ~eps ?rng ?dist g ~src_sw:src_loc.sw ~dst_sw:dst_loc.sw)
+      (fun c -> instantiate g c ~src ~src_loc ~dst ~dst_loc)
 
 let mark_link_down t key =
   let a, b = Link_key.ends key in

@@ -29,7 +29,35 @@ val generate :
     shares them. The provider must return tables identical to
     {!Routing.bfs_distances} on the current graph (stale tables produce
     wrong path graphs — invalidate on every mutation), and the returned
-    tables are never written to. *)
+    tables are never written to.
+
+    [generate] is {!core} followed by {!instantiate}. *)
+
+type core
+(** The switch-level part of a path graph: primary and backup switch
+    routes, the induced subgraph and its cable set. It depends only on
+    the graph and the two attachment switches, so every host pair
+    attached to the same switch pair (and served with the same [s],
+    [eps] and no [rng]) shares one. Never mutated after construction. *)
+
+val core :
+  ?s:int ->
+  ?eps:int ->
+  ?rng:Dumbnet_util.Rng.t ->
+  ?dist:(from:switch_id -> (switch_id, int) Hashtbl.t) ->
+  Graph.t ->
+  src_sw:switch_id ->
+  dst_sw:switch_id ->
+  core option
+(** Runs Algorithm 1 between two switches. Arguments as for
+    {!generate}; [None] if [dst_sw] is unreachable. *)
+
+val instantiate :
+  Graph.t -> core -> src:host_id -> src_loc:link_end -> dst:host_id -> dst_loc:link_end -> t option
+(** The path graph of one host pair attached at [src_loc] and
+    [dst_loc], whose switches must be the core's. Builds the concrete
+    paths and a private copy of the subgraph that iterates in the
+    core's order, so the result is identical to {!generate}'s. *)
 
 val src : t -> host_id
 

@@ -396,6 +396,34 @@ let test_large_topology_smoke () =
 
 (* --- health monitor hand-off --- *)
 
+(* A long-lived localizer keeps a fixed window of recent verdicts, not
+   one per diagnosis ever run. *)
+let test_verdict_window () =
+  let built = Builder.fat_tree ~k:4 () in
+  let fab, observer, agent, loc = diag_rig built in
+  let dst =
+    match
+      List.filter
+        (fun h -> h <> observer && legs_to (Agent.topocache agent) h <> None)
+        built.Builder.hosts
+    with
+    | h :: _ -> h
+    | [] -> Alcotest.fail "no destination across the fabric"
+  in
+  let runs = 300 in
+  let last = ref None in
+  for _ = 1 to runs do
+    if Localizer.diagnose loc ~dst ~on_done:(fun v -> last := Some v) then
+      Fabric.run ~for_ns:200_000_000 fab
+  done;
+  Alcotest.(check int) "every verdict counted" runs (Localizer.verdict_count loc);
+  let kept = Localizer.verdicts loc in
+  Alcotest.(check int) "window of 256" 256 (List.length kept);
+  Alcotest.(check bool) "newest verdict last" true
+    (match (List.rev kept, !last) with
+    | v :: _, Some l -> v == l
+    | _ -> false)
+
 let test_health_handoff () =
   (* A corrupting cable on the observer's paths: loop probes start
      vanishing, the collector charges losses, the health monitor flags
@@ -473,5 +501,6 @@ let () =
           QCheck_alcotest.to_alcotest jellyfish_prop;
           Alcotest.test_case "k=8 and jellyfish-64 smoke" `Slow test_large_topology_smoke;
           Alcotest.test_case "health monitor hand-off" `Quick test_health_handoff;
+          Alcotest.test_case "verdict window" `Quick test_verdict_window;
         ] );
     ]

@@ -12,6 +12,7 @@ module Network = Dumbnet.Sim.Network
 module Fabric = Dumbnet.Fabric
 module Payload = Dumbnet.Packet.Payload
 module Rng = Dumbnet.Util.Rng
+module Pool = Dumbnet.Util.Pool
 
 let check = Alcotest.check
 
@@ -227,6 +228,145 @@ let pathgraph_equiv_prop =
             [ (); (); (); () ])
         ops)
 
+(* --- qcheck: the path-graph memo is invisible on the wire --- *)
+
+(* The store answers every host pair on one switch pair from a single
+   memoized Algorithm-1 core, valid for one graph generation. Under
+   random fail/restore churn, through both entry points and with the
+   pool on or off, every served graph must encode to the same bytes as
+   a fresh [Pathgraph.generate]. *)
+
+let encoded graphs =
+  Array.map
+    (Option.map (fun pg -> Payload.encode (Payload.Path_response (Pathgraph.to_wire pg))))
+    graphs
+
+let memo_topology = function
+  | 0 -> ("fat-tree k=4", Builder.fat_tree ~k:4 ())
+  | 1 -> ("fat-tree k=8", Builder.fat_tree ~k:8 ())
+  | _ ->
+    ( "jellyfish-16",
+      Builder.random_regular ~rng:(Rng.create 17) ~switches:16 ~degree:4 ~hosts_per_switch:2 () )
+
+(* Every ordered pair among the hosts of six access switches: many
+   pairs share a switch pair, so most of the batch is served from the
+   memo, and both phases of a batch are big enough to use the pool. *)
+let memo_batch g rng =
+  let sws =
+    Array.of_list
+      (List.sort_uniq compare
+         (List.filter_map
+            (fun h -> Option.map (fun (loc : link_end) -> loc.sw) (Graph.host_location g h))
+            (Graph.host_ids g)))
+  in
+  let chosen = List.init 6 (fun _ -> sws.(Rng.int rng (Array.length sws))) in
+  let hosts =
+    List.filter
+      (fun h ->
+        match Graph.host_location g h with
+        | Some loc -> List.mem loc.sw chosen
+        | None -> false)
+      (Graph.host_ids g)
+  in
+  Array.of_list
+    (List.concat_map
+       (fun src -> List.filter_map (fun dst -> if src = dst then None else Some (src, dst)) hosts)
+       hosts)
+
+let memo_prop =
+  QCheck.Test.make ~name:"memoized serves = fresh generate under churn" ~count:12
+    QCheck.(
+      quad (int_bound 2) (pair (int_range 1 2) bool) small_nat
+        (list_of_size Gen.(int_bound 4) (pair small_nat bool)))
+    (fun (topo, (jobs, randomize), seed, ops) ->
+      let name, built = memo_topology topo in
+      let store = Topo_store.create built.Builder.graph in
+      (* Same events, never served unrandomized: its memo stays empty. *)
+      let twin = Topo_store.create built.Builder.graph in
+      let g = Topo_store.graph store in
+      let links = switch_link_array g in
+      let rng = Rng.create seed in
+      let fail fmt =
+        QCheck.Test.fail_reportf ("%s jobs=%d randomize=%b: " ^^ fmt) name jobs randomize
+      in
+      let check_step step pool =
+        let pairs = memo_batch g rng in
+        let fresh = encoded (Array.map (fun (src, dst) -> Pathgraph.generate g ~src ~dst) pairs) in
+        let served = encoded (Topo_store.serve_path_graphs ?pool store pairs) in
+        let again = encoded (Topo_store.serve_path_graphs ?pool store pairs) in
+        let singular =
+          encoded (Array.map (fun (src, dst) -> Topo_store.serve_path_graph store ~src ~dst) pairs)
+        in
+        (served = fresh || fail "step %d: batch differs from generate" step)
+        && (again = served || fail "step %d: second serve of the batch differs" step)
+        && (singular = fresh || fail "step %d: singular serve differs from generate" step)
+        && ((not randomize)
+           ||
+           let rand = encoded (Topo_store.serve_path_graphs ~randomize ?pool store pairs) in
+           let reference = encoded (Topo_store.serve_path_graphs ~randomize twin pairs) in
+           let seeded (src, dst) = Rng.create ((src * 1009) + dst) in
+           let rng_singular =
+             encoded
+               (Array.map
+                  (fun (src, dst) ->
+                    Topo_store.serve_path_graph ~rng:(seeded (src, dst)) store ~src ~dst)
+                  pairs)
+           in
+           let rng_fresh =
+             encoded
+               (Array.map
+                  (fun (src, dst) -> Pathgraph.generate ~rng:(seeded (src, dst)) g ~src ~dst)
+                  pairs)
+           in
+           (rand = reference || fail "step %d: randomized batch differs from a memo-free store" step)
+           && (rng_singular = rng_fresh || fail "step %d: seeded singular serve differs" step))
+      in
+      let run pool =
+        check_step 0 pool
+        && List.for_all
+             (fun (step, (pick, up)) ->
+               let le, _ = Link_key.ends links.(pick mod Array.length links) in
+               let ev = { Payload.position = le; up; event_seq = step } in
+               ignore (Topo_store.apply_event store ev);
+               ignore (Topo_store.apply_event twin ev);
+               check_step step pool)
+             (List.mapi (fun i op -> (i + 1, op)) ops)
+      in
+      if jobs = 1 then run None else Pool.with_pool ~jobs (fun pool -> run (Some pool)))
+
+(* Hosts patch their cached graphs in place ([mark_link_down]); a
+   graph instantiated from a memoized core must not share that state
+   with its siblings or with the memo. *)
+let test_memo_instances_private () =
+  let built = Builder.fat_tree ~k:4 () in
+  let store = Topo_store.create built.Builder.graph in
+  let g = Topo_store.graph store in
+  let on_switch sw =
+    List.filter
+      (fun h ->
+        match Graph.host_location g h with
+        | Some loc -> loc.sw = sw
+        | None -> false)
+      (Graph.host_ids g)
+  in
+  let src_a, src_b, dst =
+    let hosts = Graph.host_ids g in
+    let first = List.hd hosts in
+    let sw = (Option.get (Graph.host_location g first)).sw in
+    match (on_switch sw, List.filter (fun h -> not (List.mem h (on_switch sw))) hosts) with
+    | a :: b :: _, d :: _ -> (a, b, d)
+    | _ -> Alcotest.fail "need two hosts on one switch"
+  in
+  let serve src = Option.get (Topo_store.serve_path_graph store ~src ~dst) in
+  let a = serve src_a and b = serve src_b in
+  let before = Pathgraph.link_count b in
+  Link_set.iter (Pathgraph.mark_link_down a) (Pathgraph.links a);
+  check Alcotest.int "patched instance lost its links" 0 (Pathgraph.link_count a);
+  check Alcotest.int "sibling instance untouched" before (Pathgraph.link_count b);
+  let wire = Option.map Pathgraph.to_wire in
+  check Alcotest.bool "memo still serves the fresh graph" true
+    (wire (Topo_store.serve_path_graph store ~src:src_a ~dst) = wire (Pathgraph.generate g ~src:src_a ~dst))
+
 (* --- controller: delta re-push --- *)
 
 (* Find a cable some pushed pair's subgraph contains: those pairs, and
@@ -381,6 +521,8 @@ let () =
           QCheck_alcotest.to_alcotest fat_tree_event_prop;
           QCheck_alcotest.to_alcotest jellyfish_event_prop;
           QCheck_alcotest.to_alcotest pathgraph_equiv_prop;
+          QCheck_alcotest.to_alcotest memo_prop;
+          Alcotest.test_case "memo instances are private" `Quick test_memo_instances_private;
         ] );
       ( "delta re-push",
         [
